@@ -16,7 +16,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -337,48 +336,6 @@ func (c *Client) Rate(ctx context.Context, req RateRequest) (RateResponse, error
 	var out RateResponse
 	err := c.postJSON(ctx, "/v1/rate", req, &out)
 	return out, err
-}
-
-// RateBinaryContentType is the Content-Type negotiating the
-// length-prefixed binary rate wire format (see docs/api.md).
-const RateBinaryContentType = server.RateBinaryContentType
-
-// RateBinary is Rate over the binary wire format: the request is a
-// length-prefixed frame instead of JSON, and the server — seeing
-// RateBinaryContentType — answers in kind. Semantically identical to
-// Rate; the frame skips JSON encode/decode on both ends, which is what
-// drops the server to zero allocations per request. An error is
-// returned if the server does not negotiate the binary response.
-func (c *Client) RateBinary(ctx context.Context, rr RateRequest) (RateResponse, error) {
-	body, err := server.AppendRateRequestBinary(nil, rr)
-	if err != nil {
-		return RateResponse{}, fmt.Errorf("zhuyi: encode rate request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/rate", bytes.NewReader(body))
-	if err != nil {
-		return RateResponse{}, err
-	}
-	req.Header.Set("Content-Type", RateBinaryContentType)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return RateResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return RateResponse{}, apiError(resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != RateBinaryContentType {
-		return RateResponse{}, fmt.Errorf("zhuyi: server answered Content-Type %q, not the negotiated binary format", ct)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return RateResponse{}, err
-	}
-	out, err := server.DecodeRateResponseBinary(data)
-	if err != nil {
-		return RateResponse{}, fmt.Errorf("zhuyi: decode rate response: %w", err)
-	}
-	return out, nil
 }
 
 // Scenarios lists the service's registered catalog, optionally

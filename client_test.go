@@ -280,12 +280,10 @@ func TestClientErrorOnlyStreamLine(t *testing.T) {
 	}
 }
 
-// TestClientRateTimeoutCancelAndBinaryNegotiation covers the rate
-// path's client contract: deadlines and cancellation cut both wire
-// modes promptly, a server that does not negotiate the binary format
-// is surfaced as an error (not a garbled decode), corrupt binary
-// bodies fail loudly, and server-side 400s carry the server's message.
-func TestClientRateTimeoutCancelAndBinaryNegotiation(t *testing.T) {
+// TestClientRateTimeoutAndCancel covers the rate path's client
+// contract: deadlines and cancellation cut a request promptly, and
+// server-side 400s carry the server's message.
+func TestClientRateTimeoutAndCancel(t *testing.T) {
 	base, release := hangingServer(t)
 	defer release()
 	cl := NewClient(base)
@@ -298,57 +296,14 @@ func TestClientRateTimeoutCancelAndBinaryNegotiation(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel2() }()
-	if _, err := cl.RateBinary(ctx2, req); !errors.Is(err, context.Canceled) {
-		t.Errorf("RateBinary cancel: err = %v", err)
+	if _, err := cl.Rate(ctx2, req); !errors.Is(err, context.Canceled) {
+		t.Errorf("Rate cancel: err = %v", err)
 	}
 
-	// A server that ignores the negotiation and answers JSON: the
-	// client must refuse to misparse it as a frame.
-	jsonOnly := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte("{}\n"))
-	}))
-	defer jsonOnly.Close()
-	if _, err := NewClient(jsonOnly.URL).RateBinary(context.Background(), req); err == nil ||
-		!strings.Contains(err.Error(), "binary") {
-		t.Errorf("unnegotiated JSON response: err = %v", err)
-	}
-
-	// Binary Content-Type with a corrupt body must fail as a decode
-	// error, never a panic or a zero-valued success.
-	corrupt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", RateBinaryContentType)
-		_, _ = w.Write([]byte{9, 0, 0, 0, 'Z', 'Y', 'S', '1', 1})
-	}))
-	defer corrupt.Close()
-	if _, err := NewClient(corrupt.URL).RateBinary(context.Background(), req); err == nil ||
-		!strings.Contains(err.Error(), "decode rate response") {
-		t.Errorf("corrupt binary body: err = %v", err)
-	}
-
-	// Against the real service: a 400 carries the server's words, and
-	// the binary answer matches the JSON answer.
 	svc := startService(t, "")
 	if _, err := svc.Rate(context.Background(), RateRequest{Ego: AgentState{Speed: -5}}); err == nil ||
 		!strings.Contains(err.Error(), "HTTP 400") {
 		t.Errorf("invalid kinematics: err = %v", err)
-	}
-	good := RateRequest{
-		Time:      1,
-		Ego:       AgentState{ID: "ego", Speed: 20},
-		Actors:    []AgentState{{ID: "lead", X: 25, Speed: 12, Accel: -4}},
-		Operating: map[string]float64{"front120": 5},
-	}
-	jr, err := svc.Rate(context.Background(), good)
-	if err != nil {
-		t.Fatalf("Rate: %v", err)
-	}
-	br, err := svc.RateBinary(context.Background(), good)
-	if err != nil {
-		t.Fatalf("RateBinary: %v", err)
-	}
-	if len(br.Rates) == 0 || br.MaxFPR != jr.MaxFPR || br.SumFPR != jr.SumFPR {
-		t.Errorf("binary answer diverges from JSON:\nbinary: %+v\njson:   %+v", br, jr)
 	}
 }
 

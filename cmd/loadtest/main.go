@@ -4,8 +4,8 @@
 // background campaign streaming the whole time (-campaign) so the
 // measurement captures the admission-gated contention the endpoint is
 // built for, and prints one JSON report with client-observed latency
-// quantiles. scripts/loadtest.sh runs it in both wire modes and gates
-// the p99 in CI; BENCH_serve.json is the committed artifact.
+// quantiles. scripts/loadtest.sh runs it and gates the p99 in CI;
+// BENCH_serve.json is the committed artifact.
 //
 // The driver exits non-zero if any rate request fails — under the
 // admission gate, campaign pressure must never cost correctness, only
@@ -27,13 +27,11 @@ import (
 
 	zhuyi "repro"
 	"repro/internal/hist"
-	"repro/internal/server"
 )
 
 // report is the driver's stdout artifact, embedded verbatim into
 // BENCH_serve.json by scripts/loadtest.sh.
 type report struct {
-	Mode           string      `json:"mode"`
 	Concurrency    int         `json:"concurrency"`
 	TargetQPS      float64     `json:"target_qps"`
 	DurationS      float64     `json:"duration_s"`
@@ -57,31 +55,27 @@ type latencyRows struct {
 
 func main() {
 	addr := flag.String("addr", "", "base URL of a running zhuyi serve (e.g. http://127.0.0.1:8080); required")
-	mode := flag.String("mode", "json", "wire mode: json or binary")
 	duration := flag.Duration("duration", 5*time.Second, "measured load window (after warmup)")
 	warmup := flag.Duration("warmup", 500*time.Millisecond, "unmeasured warmup window")
 	concurrency := flag.Int("concurrency", 32, "rate workers")
 	qps := flag.Float64("qps", 0, "target offered load in requests/s across all workers; 0 = closed loop (as fast as the workers allow, latency then includes self-queueing)")
 	campaign := flag.Int("campaign", 0, "background campaign batch size, resubmitted with fresh seeds for the whole window (0 = no campaign pressure)")
 	flag.Parse()
-	if err := run(*addr, *mode, *duration, *warmup, *concurrency, *qps, *campaign); err != nil {
+	if err := run(*addr, *duration, *warmup, *concurrency, *qps, *campaign); err != nil {
 		fmt.Fprintln(os.Stderr, "loadtest:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, mode string, duration, warmup time.Duration, concurrency int, qps float64, campaign int) error {
+func run(addr string, duration, warmup time.Duration, concurrency int, qps float64, campaign int) error {
 	if addr == "" {
 		return fmt.Errorf("-addr is required")
-	}
-	if mode != "json" && mode != "binary" {
-		return fmt.Errorf("-mode must be json or binary, got %q", mode)
 	}
 
 	// One request body, built once: the wire payload is identical for
 	// every request, so the drive loop allocates only what net/http
 	// itself needs.
-	body, contentType, err := buildBody(mode)
+	body, err := json.Marshal(benchRateRequest())
 	if err != nil {
 		return err
 	}
@@ -165,7 +159,7 @@ func run(addr, mode string, duration, warmup time.Duration, concurrency int, qps
 					}
 				}
 				start := time.Now()
-				ok := postOnce(ctx, httpc, addr, contentType, body)
+				ok := postOnce(ctx, httpc, addr, body)
 				if !measuring.Load() {
 					continue
 				}
@@ -199,7 +193,6 @@ func run(addr, mode string, duration, warmup time.Duration, concurrency int, qps
 	s := h.Snapshot()
 	const us = 1e3 // ns per µs
 	rep := report{
-		Mode:           mode,
 		Concurrency:    concurrency,
 		TargetQPS:      qps,
 		DurationS:      window.Seconds(),
@@ -232,12 +225,12 @@ func run(addr, mode string, duration, warmup time.Duration, concurrency int, qps
 
 // postOnce fires one rate request and fully drains the response so the
 // connection is reused. Any transport error or non-200 is a failure.
-func postOnce(ctx context.Context, httpc *http.Client, addr, contentType string, body []byte) bool {
+func postOnce(ctx context.Context, httpc *http.Client, addr string, body []byte) bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/rate", bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := httpc.Do(req)
 	if err != nil {
 		return false
@@ -247,22 +240,9 @@ func postOnce(ctx context.Context, httpc *http.Client, addr, contentType string,
 	return resp.StatusCode == http.StatusOK
 }
 
-// buildBody renders the benchmark snapshot — a six-actor merge scene
-// with an operating point, so the response includes the safety check —
-// in the requested wire mode.
-func buildBody(mode string) (body []byte, contentType string, err error) {
-	rr := benchRateRequest()
-	if mode == "binary" {
-		b, err := server.AppendRateRequestBinary(nil, rr)
-		return b, zhuyi.RateBinaryContentType, err
-	}
-	b, err := json.Marshal(rr)
-	return b, "application/json", err
-}
-
 // benchRateRequest is the fixed snapshot every worker posts: an ego at
 // speed with six surrounding actors and an operating point for the
-// three analyzed cameras.
+// three analyzed cameras, so the response includes the safety check.
 func benchRateRequest() zhuyi.RateRequest {
 	return zhuyi.RateRequest{
 		Time: 4.2,

@@ -43,17 +43,6 @@ type Runner func(Job) (*sim.Result, error)
 // a full trace and the job says so (fullForStore). Configure may still
 // override cfg.Record.
 func DefaultRunner(j Job) (*sim.Result, error) {
-	cfg := buildConfig(j)
-	if j.Configure != nil {
-		j.Configure(&cfg)
-	}
-	return sim.Run(cfg)
-}
-
-// buildConfig materializes the job's simulator configuration with the
-// engine's record-level policy applied (the Configure hook, if any, is
-// the caller's to run).
-func buildConfig(j Job) sim.Config {
 	cfg := j.Scenario.Build(j.FPR, j.Seed)
 	switch {
 	case j.fullForStore:
@@ -61,7 +50,10 @@ func buildConfig(j Job) sim.Config {
 	case j.Record > cfg.Record:
 		cfg.Record = j.Record // the engine's policy records less than the spec declares
 	}
-	return cfg
+	if j.Configure != nil {
+		j.Configure(&cfg)
+	}
+	return sim.Run(cfg)
 }
 
 // Options configures an Engine.
@@ -83,19 +75,6 @@ type Options struct {
 	// the point falls through to a fresh simulation and the error is
 	// counted in Stats.StoreErrors. nil disables the tier.
 	Store *store.Store
-	// Lockstep bounds how many same-point variants execute as a single
-	// sim.Batch. Under the default runner, RunBatch plans groups of up
-	// to Lockstep plain jobs (no Configure hook) at the same (scenario,
-	// seed) — typically the rates of a campaign's sweep — and a worker
-	// advances each group in lockstep, sharing ground truth, collision
-	// sweeps, and visibility until each variant's closed loop diverges.
-	// Workers additionally coalesce same-point jobs that happen to be
-	// queued together (cross-campaign traffic through Run). Results are
-	// bit-identical to independent runs (see sim.Batch). Seeds always
-	// differ across an MRF wave's jobs, so waves never group — grouping
-	// them would serialize independent points onto one worker. 0
-	// defaults to 8; negative disables lockstep batching.
-	Lockstep int
 	// Record is the trace recording level the engine runs its jobs at.
 	// The zero value is trace.LevelFull. Engines whose consumers only
 	// read summaries — the campaign server's NDJSON stream, MRF/rate
@@ -118,24 +97,17 @@ type Options struct {
 	Admission *admission.Gate
 }
 
-func (o Options) withDefaults() (Options, bool) {
+func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 2048
 	}
-	switch {
-	case o.Lockstep == 0:
-		o.Lockstep = 8
-	case o.Lockstep < 0:
-		o.Lockstep = 1
-	}
-	defaultRunner := o.Runner == nil
-	if defaultRunner {
+	if o.Runner == nil {
 		o.Runner = DefaultRunner
 	}
-	return o, defaultRunner
+	return o
 }
 
 // Job is one schedulable run: a (scenario, FPR, seed) point, optionally
@@ -260,11 +232,10 @@ type Stats struct {
 	// handed to the background store writer but not yet on disk. Zero
 	// after any Drain/RunBatch return.
 	ArchivePending int64
-	// LockstepGroups counts multi-variant sim.Batch executions;
-	// LockstepRuns counts the simulations they covered (each also in
-	// Executed).
-	LockstepGroups int64
-	LockstepRuns   int64
+	// LockstepRuns is always zero. Lockstep batching was removed; the
+	// field stays so readers of earlier stats (the benchmark's
+	// engine.lockstep_runs layer) keep compiling and report 0.
+	LockstepRuns int64
 }
 
 // entry is a cache slot doubling as the singleflight rendezvous:
@@ -280,10 +251,6 @@ type task struct {
 	job        Job
 	ent        *entry
 	registered bool // ent lives in the cache map
-	// group marks a pre-planned lockstep batch: the task is a carrier
-	// for its member tasks (job/ent unused) and the worker executes the
-	// members as one sim.Batch.
-	group []*task
 }
 
 // Engine schedules runs onto a fixed worker pool and caches results.
@@ -292,10 +259,6 @@ type task struct {
 // daemon goroutines started on first use).
 type Engine struct {
 	opts Options
-	// defaultRunner records that no Runner was injected: only then may
-	// workers replicate the default runner's semantics across a
-	// lockstep batch.
-	defaultRunner bool
 
 	start sync.Once
 
@@ -307,9 +270,9 @@ type Engine struct {
 	order  []Key // insertion order for FIFO eviction
 
 	// diskSem bounds concurrent persistent-tier artifact loads to the
-	// pool size: disk hits run on the submitting goroutine (RunBatch
-	// spawns one per job), and an unbounded warm campaign would
-	// otherwise decompress and decode hundreds of traces at once.
+	// pool size: disk hits run on the submitting goroutine, and
+	// concurrent callers of Run could otherwise decompress and decode
+	// hundreds of traces at once.
 	diskSem chan struct{}
 
 	// arch is the bounded async archiver (nil without a store): fresh
@@ -324,14 +287,11 @@ type Engine struct {
 	archived     atomic.Int64
 	failures     atomic.Int64
 	storeErrs    atomic.Int64
-	lockGroups   atomic.Int64
-	lockRuns     atomic.Int64
 }
 
 // New builds an engine. Workers are started lazily on first submission.
 func New(opts Options) *Engine {
-	resolved, defaultRunner := opts.withDefaults()
-	e := &Engine{opts: resolved, defaultRunner: defaultRunner, cache: make(map[Key]*entry)}
+	e := &Engine{opts: opts.withDefaults(), cache: make(map[Key]*entry)}
 	e.cond = sync.NewCond(&e.mu)
 	e.diskSem = make(chan struct{}, e.opts.Workers)
 	if e.opts.Store != nil {
@@ -381,9 +341,6 @@ func (e *Engine) Stats() Stats {
 		ManifestHits: e.manifestHits.Load(),
 
 		ArchivePending: e.archivePending(),
-
-		LockstepGroups: e.lockGroups.Load(),
-		LockstepRuns:   e.lockRuns.Load(),
 	}
 }
 
@@ -408,87 +365,15 @@ func (e *Engine) worker() {
 		}
 		t := e.queue[0]
 		e.queue = e.queue[1:]
-		if t.group != nil {
-			e.mu.Unlock()
-			e.opts.Admission.Yield()
-			e.executeLockstep(t.group)
-			continue
-		}
-		group := e.claimLockstepLocked(t)
 		e.mu.Unlock()
 		e.opts.Admission.Yield()
-		if len(group) > 0 {
-			e.executeLockstep(append([]*task{t}, group...))
-		} else {
-			e.execute(t)
-		}
+		e.execute(t)
 	}
 }
 
-// claimLockstepLocked pulls up to Lockstep-1 queued companions of t —
-// same scenario and seed, no Configure hook — off the queue for
-// lockstep execution. Only plain-shaped jobs under the default runner
-// qualify: a Configure hook can change the run arbitrarily, and an
-// injected runner's semantics cannot be replicated by sim.Batch.
-// Called with e.mu held.
-func (e *Engine) claimLockstepLocked(t *task) []*task {
-	if !e.defaultRunner || e.opts.Lockstep <= 1 || t.job.Configure != nil {
-		return nil
-	}
-	var group []*task
-	kept := e.queue[:0]
-	for _, c := range e.queue {
-		if len(group) < e.opts.Lockstep-1 && c.group == nil && c.job.Configure == nil &&
-			c.job.Scenario.Name == t.job.Scenario.Name && c.job.Seed == t.job.Seed {
-			group = append(group, c)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	e.queue = kept
-	return group
-}
-
-// executeLockstep runs a claimed group as one sim.Batch, replicating
-// the default runner per member (configuration build, archive hook,
-// counters). Cancelled members are finished with their context error;
-// a batch-construction failure falls back to independent execution.
-func (e *Engine) executeLockstep(group []*task) {
-	live := group[:0]
-	for _, t := range group {
-		if err := t.ctx.Err(); err != nil {
-			e.finish(t, nil, err)
-		} else {
-			live = append(live, t)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	if len(live) == 1 {
-		e.execute(live[0])
-		return
-	}
-	cfgs := make([]sim.Config, len(live))
-	for i, t := range live {
-		cfgs[i] = buildConfig(t.job)
-	}
-	b, err := sim.NewBatch(cfgs)
-	if err != nil {
-		for _, t := range live {
-			e.execute(t)
-		}
-		return
-	}
-	results := b.Run()
-	e.lockGroups.Add(1)
-	e.lockRuns.Add(int64(len(live)))
-	for i, t := range live {
-		e.executed.Add(1)
-		e.enqueueArchive(t.job, results[i])
-		e.finish(t, results[i], nil)
-	}
-}
+// submittersPerWorker sizes RunBatchFunc's submitter pool relative to
+// the worker pool.
+const submittersPerWorker = 2
 
 // ErrClosed is returned for jobs submitted after Close.
 var ErrClosed = errors.New("engine: closed")
@@ -497,12 +382,6 @@ func (e *Engine) enqueue(t *task) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		if t.group != nil {
-			for _, m := range t.group {
-				e.finish(m, nil, ErrClosed)
-			}
-			return
-		}
 		e.finish(t, nil, ErrClosed)
 		return
 	}
@@ -786,13 +665,13 @@ func (e *Engine) RunJob(ctx context.Context, job Job) Outcome {
 	return Outcome{Job: job, Result: res, Source: src, Cached: src != SourceFresh, Err: err}
 }
 
-// RunBatch submits a campaign: all jobs are scheduled onto the shared
-// pool and execute concurrently up to the worker limit. The first real
-// run error cancels the jobs that have not started yet (first-error
-// propagation); jobs already running complete. The returned error joins
-// every real run error (errors.Join); cancellations of skipped jobs are
-// reported per-outcome but not joined. Outcomes align with jobs by
-// index.
+// RunBatch submits a campaign: its jobs are fed to the shared pool by
+// a fixed number of submitters and execute concurrently up to the
+// worker limit. The first real run error cancels the jobs that have not
+// started yet (first-error propagation); jobs already running complete.
+// The returned error joins every real run error (errors.Join);
+// cancellations of skipped jobs are reported per-outcome but not
+// joined. Outcomes align with jobs by index.
 func (e *Engine) RunBatch(ctx context.Context, jobs []Job) (*BatchResult, error) {
 	return e.RunBatchFunc(ctx, jobs, nil)
 }
@@ -823,35 +702,25 @@ func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, fn func(i int, o 
 		}
 	}
 
-	// A campaign sees all of its jobs at once, so same-point rate sweeps
-	// are grouped for lockstep execution here, at submission — the
-	// worker-side claim can only coalesce jobs that happen to be queued
-	// together, which scheduling never guarantees.
-	groups := e.planLockstep(jobs)
-	inGroup := make([]bool, len(jobs))
-	for _, g := range groups {
-		for _, i := range g {
-			inGroup[i] = true
-		}
-	}
-
+	// A fixed pool of submitters feeds the workers: each pulls the next
+	// job index and blocks in RunJob until that job is answered. A
+	// campaign therefore holds the same number of goroutines whatever
+	// its size, while twice as many submitters as workers keep the queue
+	// from running dry as some of them wait on disk hits or joined runs.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, g := range groups {
+	for range min(submittersPerWorker*e.opts.Workers, len(jobs)) {
 		wg.Add(1)
-		go func(g []int) {
+		go func() {
 			defer wg.Done()
-			e.runGroup(bctx, g, jobs, deliver)
-		}(g)
-	}
-	for i, j := range jobs {
-		if inGroup[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, j Job) {
-			defer wg.Done()
-			deliver(i, e.RunJob(bctx, j))
-		}(i, j)
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
+				deliver(i, e.RunJob(bctx, jobs[i]))
+			}
+		}()
 	}
 	wg.Wait()
 	// Flush the async archiver: every fresh run was enqueued before its
@@ -888,115 +757,4 @@ func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, fn func(i int, o 
 		return br, err
 	}
 	return br, nil
-}
-
-// planLockstep partitions a campaign's plain jobs (no Configure hook)
-// into lockstep groups of 2..Lockstep at the same (scenario, seed)
-// point — the rate sweeps of Table-1-shaped campaigns. Singletons and
-// hooked jobs are left to the ordinary per-job path. Only meaningful
-// under the default runner: an injected runner's semantics cannot be
-// replicated by sim.Batch.
-func (e *Engine) planLockstep(jobs []Job) [][]int {
-	if !e.defaultRunner || e.opts.Lockstep <= 1 {
-		return nil
-	}
-	type point struct {
-		name string
-		seed int64
-	}
-	var order []point
-	byPoint := make(map[point][]int)
-	for i, j := range jobs {
-		if j.Configure != nil {
-			continue
-		}
-		p := point{j.Scenario.Name, j.Seed}
-		if byPoint[p] == nil {
-			order = append(order, p)
-		}
-		byPoint[p] = append(byPoint[p], i)
-	}
-	var groups [][]int
-	for _, p := range order {
-		g := byPoint[p]
-		for len(g) >= 2 {
-			n := len(g)
-			if n > e.opts.Lockstep {
-				n = e.opts.Lockstep
-			}
-			groups = append(groups, g[:n])
-			g = g[n:]
-		}
-	}
-	return groups
-}
-
-// runGroup schedules one planned lockstep group: each member claims its
-// cache slot (jobs answered by the memory or disk tier, or already in
-// flight elsewhere, drop out of the group), and the remaining members
-// are enqueued as a single carrier task the worker executes as one
-// sim.Batch. Outcomes flow through deliver exactly as on the per-job
-// path.
-func (e *Engine) runGroup(ctx context.Context, idxs []int, jobs []Job, deliver func(i int, o Outcome)) {
-	e.startWorkers()
-	type member struct {
-		i int
-		t *task
-	}
-	var members []member
-	var joins sync.WaitGroup
-	for _, i := range idxs {
-		job := jobs[i]
-		job.Record, job.fullForStore = e.effectiveLevel(job)
-		if !job.NoCache && e.opts.CacheSize > 0 {
-			key := job.key()
-			e.mu.Lock()
-			if _, inFlight := e.cache[key]; inFlight {
-				e.mu.Unlock()
-				// Someone else owns the point (a duplicate in this very
-				// campaign, or a concurrent caller): join it through the
-				// ordinary path, off the group.
-				joins.Add(1)
-				go func(i int, job Job) {
-					defer joins.Done()
-					deliver(i, e.RunJob(ctx, job))
-				}(i, jobs[i])
-				continue
-			}
-			ent := &entry{done: make(chan struct{})}
-			e.cache[key] = ent
-			e.order = append(e.order, key)
-			e.evictLocked()
-			e.mu.Unlock()
-			if res, hit := e.storeLookup(job); hit {
-				ent.res = res
-				close(ent.done)
-				deliver(i, Outcome{Job: job, Result: res, Source: SourceDisk, Cached: true})
-				continue
-			}
-			members = append(members, member{i, &task{ctx: ctx, job: job, ent: ent, registered: true}})
-			continue
-		}
-		if res, hit := e.storeLookup(job); hit {
-			deliver(i, Outcome{Job: job, Result: res, Source: SourceDisk, Cached: true})
-			continue
-		}
-		members = append(members, member{i, &task{ctx: ctx, job: job, ent: &entry{done: make(chan struct{})}}})
-	}
-	switch len(members) {
-	case 0:
-	case 1:
-		e.enqueue(members[0].t)
-	default:
-		carrier := make([]*task, len(members))
-		for k, m := range members {
-			carrier[k] = m.t
-		}
-		e.enqueue(&task{ctx: ctx, group: carrier})
-	}
-	for _, m := range members {
-		<-m.t.ent.done
-		deliver(m.i, Outcome{Job: m.t.job, Result: m.t.ent.res, Source: SourceFresh, Err: m.t.ent.err})
-	}
-	joins.Wait()
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -263,6 +264,29 @@ func dyingReplica(t *testing.T, dir string) (*httptest.Server, *engine.Engine) {
 	return ts, eng
 }
 
+// owningVictim starts dying replicas until one owns at least one of the
+// campaign's points on the ring over healthy plus the victim (the ring a
+// coordinator with default virtual nodes builds). Ring placement depends
+// only on URL strings, and a victim on an unlucky port would own
+// nothing, never be contacted, and so never be seen to die.
+func owningVictim(t *testing.T, dir string, healthy []string, points []zhuyi.CampaignPoint) (*httptest.Server, *engine.Engine) {
+	t.Helper()
+	for attempt := 0; attempt < 50; attempt++ {
+		victim, eng := dyingReplica(t, dir)
+		ring, err := NewRing(append(slices.Clone(healthy), victim.URL), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range points {
+			if ring.Owner(scenario.Default().Fingerprint(pt.Scenario)) == victim.URL {
+				return victim, eng
+			}
+		}
+	}
+	t.Fatal("no dying replica owned a campaign point in 50 attempts")
+	return nil, nil
+}
+
 // TestReplicaDeathMidCampaignZeroDuplicates is the fabric's failure
 // path: one replica dies mid-campaign after archiving part of its
 // share. The campaign must still complete, the dead replica's
@@ -274,31 +298,10 @@ func TestReplicaDeathMidCampaignZeroDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	points := table1Points(2, 5)
 
-	// Build two healthy replicas first; the victim is inserted at a URL
-	// chosen after ring construction, so pick the victim as the owner of
-	// the first point's scenario to guarantee it gets assignments.
 	s1, e1 := replica(t, dir)
 	s2, e2 := replica(t, dir)
-	victim, victimEng := dyingReplica(t, dir)
-	urls := []string{s1.URL, s2.URL, victim.URL}
-
-	c, cts := coordinator(t, dir, urls, Options{Backoff: 300 * time.Millisecond})
-	fp := scenario.Default().Fingerprint(points[0].Scenario)
-	if c.Ring().Owner(fp) != victim.URL {
-		// Re-order so the victim owns at least the first scenario's
-		// points: ring placement depends only on URL strings, so find a
-		// point the victim owns instead.
-		owned := false
-		for _, pt := range points {
-			if c.Ring().Owner(scenario.Default().Fingerprint(pt.Scenario)) == victim.URL {
-				owned = true
-				break
-			}
-		}
-		if !owned {
-			t.Skip("hash ring assigned the victim no scenarios (possible but vanishingly rare); nothing to kill")
-		}
-	}
+	victim, victimEng := owningVictim(t, dir, []string{s1.URL, s2.URL}, points)
+	_, cts := coordinator(t, dir, []string{s1.URL, s2.URL, victim.URL}, Options{Backoff: 300 * time.Millisecond})
 
 	cl := zhuyi.NewClient(cts.URL)
 	res, err := cl.Campaign(context.Background(), points)

@@ -31,7 +31,7 @@ func TestRateServedLocallyDuringReplicaDeath(t *testing.T) {
 	points := table1Points(2, 5)
 	s1, _ := replica(t, dir)
 	s2, _ := replica(t, dir)
-	victim, _ := dyingReplica(t, dir)
+	victim, _ := owningVictim(t, dir, []string{s1.URL, s2.URL}, points)
 	_, cts := coordinator(t, dir, []string{s1.URL, s2.URL, victim.URL}, Options{Backoff: 300 * time.Millisecond})
 
 	campDone := make(chan error, 1)
@@ -60,16 +60,10 @@ func TestRateServedLocallyDuringReplicaDeath(t *testing.T) {
 		t.Fatalf("campaign did not survive the replica death: %v", err)
 	}
 
-	// The victim is now known-dead. Rate requests — JSON and binary —
-	// must keep answering locally.
+	// The victim is now known-dead. Rate requests must keep answering
+	// locally.
 	for i := 0; i < after; i++ {
-		var rr zhuyi.RateResponse
-		var err error
-		if i%2 == 0 {
-			rr, err = cl.Rate(context.Background(), req)
-		} else {
-			rr, err = cl.RateBinary(context.Background(), req)
-		}
+		rr, err := cl.Rate(context.Background(), req)
 		if err != nil {
 			t.Fatalf("rate request %d with dead replica: %v", i, err)
 		}

@@ -2,9 +2,9 @@
 
 // Allocation budget and benchmarks for the pooled /v1/rate path, gated
 // only on non-race builds (race instrumentation allocates; CI runs the
-// gate as a dedicated loadtest job). The budget is the PR's contract:
-// at most 5 allocations per JSON request, exactly 0 per binary
-// request, measured below net/http at the serveRate boundary.
+// gate as a dedicated loadtest job). The budget is at most 5
+// allocations per request, measured below net/http at the serveRate
+// boundary.
 package server
 
 import (
@@ -36,45 +36,19 @@ func TestRateServeAllocBudget(t *testing.T) {
 	sc := getRateScratch()
 	defer putRateScratch(sc)
 
-	jsonBody, err := json.Marshal(rateBenchRequest())
+	body, err := json.Marshal(rateBenchRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	binBody, err := AppendRateRequestBinary(nil, rateBenchRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	rd := bytes.NewReader(nil)
-	measure := func(body []byte, binary bool) float64 {
-		return testing.AllocsPerRun(500, func() {
-			rd.Reset(body)
-			if code, msg := s.serveRate(sc, rd, binary); code != 0 {
-				t.Fatalf("serveRate failed: %d %s", code, msg)
-			}
-		})
-	}
-
-	if a := measure(jsonBody, false); a > 5 {
-		t.Errorf("JSON rate path: %.1f allocs/request, budget is 5", a)
-	}
-	if a := measure(binBody, true); a != 0 {
-		t.Errorf("binary rate path: %.1f allocs/request, budget is 0", a)
-	}
-}
-
-func benchRateServe(b *testing.B, body []byte, binary bool) {
-	s := New(Options{})
-	sc := getRateScratch()
-	defer putRateScratch(sc)
-	rd := bytes.NewReader(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	a := testing.AllocsPerRun(500, func() {
 		rd.Reset(body)
-		if code, msg := s.serveRate(sc, rd, binary); code != 0 {
-			b.Fatalf("serveRate failed: %d %s", code, msg)
+		if code, msg := s.serveRate(sc, rd); code != 0 {
+			t.Fatalf("serveRate failed: %d %s", code, msg)
 		}
+	})
+	if a > 5 {
+		t.Errorf("JSON rate path: %.1f allocs/request, budget is 5", a)
 	}
 }
 
@@ -83,13 +57,16 @@ func BenchmarkRateServeJSON(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchRateServe(b, body, false)
-}
-
-func BenchmarkRateServeBinary(b *testing.B) {
-	body, err := AppendRateRequestBinary(nil, rateBenchRequest())
-	if err != nil {
-		b.Fatal(err)
+	s := New(Options{})
+	sc := getRateScratch()
+	defer putRateScratch(sc)
+	rd := bytes.NewReader(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		if code, msg := s.serveRate(sc, rd); code != 0 {
+			b.Fatalf("serveRate failed: %d %s", code, msg)
+		}
 	}
-	benchRateServe(b, body, true)
 }

@@ -4,9 +4,8 @@ package server
 // POST /v1/rate. Each request borrows a rateScratch from a sync.Pool:
 // the body buffer, decoded request, estimator scratch, controller, and
 // response buffer all live in it and are reused across requests, so a
-// steady-state rate request performs no heap allocation at all on the
-// binary wire format and stays within a small fixed budget on JSON
-// (both pinned by TestRateServeAllocBudget and gated in CI via
+// steady-state rate request stays within a small fixed allocation
+// budget (pinned by TestRateServeAllocBudget and gated in CI via
 // BENCH_serve.json). The scratch also carries a stable histogram shard
 // hint, so latency self-recording never contends across pooled
 // requests. Admission priority (internal/admission) brackets the
@@ -159,26 +158,20 @@ func (sc *rateScratch) readBody(r io.Reader) error {
 	}
 }
 
-// serveRate runs the pooled path end to end: read, decode (JSON or
-// binary per Content-Type), validate, compute, encode. On success it
-// returns (0, "") with the response encoded in sc.out; otherwise the
-// HTTP status and message for writeError, or rateStatusFallback.
-// Validation order and error messages match the pre-pooled handler
-// exactly. Error paths may allocate — they are off the hot path.
-func (s *Server) serveRate(sc *rateScratch, body io.Reader, binary bool) (int, string) {
+// serveRate runs the pooled path end to end: read, decode, validate,
+// compute, encode. On success it returns (0, "") with the response
+// encoded in sc.out; otherwise the HTTP status and message for
+// writeError, or rateStatusFallback. Validation order and error
+// messages match the pre-pooled handler exactly. Error paths may
+// allocate — they are off the hot path.
+func (s *Server) serveRate(sc *rateScratch, body io.Reader) (int, string) {
 	sc.reset()
 	if err := sc.readBody(body); err != nil {
 		return 400, "bad rate request: " + err.Error()
 	}
-	if binary {
-		if err := sc.decodeBinaryRequest(); err != nil {
-			return 400, "bad rate request: " + err.Error()
-		}
-	} else {
-		d := rateDecoder{sc: sc, data: sc.body}
-		if err := d.decodeRequest(); err != nil {
-			return 400, "bad rate request: " + err.Error()
-		}
+	d := rateDecoder{sc: sc, data: sc.body}
+	if err := d.decodeRequest(); err != nil {
+		return 400, "bad rate request: " + err.Error()
 	}
 
 	if sc.req.Ego.ID == "" {
@@ -214,10 +207,6 @@ func (s *Server) serveRate(sc *rateScratch, body io.Reader, binary bool) (int, s
 		safety.CheckInto(&sc.chk, sc.e, sc.req.Operating)
 	}
 
-	if binary {
-		sc.encodeBinaryResponse()
-		return 0, ""
-	}
 	if !sc.encodeJSONResponse() {
 		return rateStatusFallback, ""
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -149,76 +148,57 @@ func rateHammerRequest() RateRequest {
 	}
 }
 
-// TestRateBinaryNegotiation: a binary-framed request must come back as
-// a binary frame that decodes to exactly the JSON answer, and
-// malformed frames must fail as JSON 400s, never panics.
-func TestRateBinaryNegotiation(t *testing.T) {
+// TestRateDecodesJSONWhateverContentType: the rate endpoint has one
+// wire format. A request is decoded as JSON whatever Content-Type it
+// declares (including the retired binary type), answers in JSON, and a
+// malformed body is a JSON 400, never a panic.
+func TestRateDecodesJSONWhateverContentType(t *testing.T) {
 	ts := newTestServer(t, Options{})
-	req := rateHammerRequest()
-
-	jsonBody, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/rate", "application/json", bytes.NewReader(jsonBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want RateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&want); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	frame, err := AppendRateRequestBinary(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/v1/rate", RateBinaryContentType, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("binary rate status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != RateBinaryContentType {
-		t.Fatalf("binary response Content-Type %q", ct)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRateResponseBinary(data)
-	if err != nil {
-		t.Fatalf("decode binary response: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("binary response diverges from JSON:\nbinary: %+v\njson:   %+v", got, want)
-	}
-
-	// Error paths: truncated frame, bad magic, and a parameterized
-	// Content-Type must all answer JSON 400s.
-	for name, tc := range map[string]struct {
-		ct   string
-		body []byte
-		code int
-	}{
-		"truncated":  {RateBinaryContentType, frame[:len(frame)-3], http.StatusBadRequest},
-		"bad magic":  {RateBinaryContentType, append([]byte{4, 0, 0, 0}, "XXXX"...), http.StatusBadRequest},
-		"empty":      {RateBinaryContentType, nil, http.StatusBadRequest},
-		"with param": {RateBinaryContentType + "; charset=utf-8", frame, http.StatusOK},
-	} {
-		resp, err := http.Post(ts.URL+"/v1/rate", tc.ct, bytes.NewReader(tc.body))
+	body, _ := json.Marshal(rateHammerRequest())
+	post := func(ct string, body []byte) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/rate", ct, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != tc.code {
-			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, tc.code)
+		return resp
+	}
+	read := func(resp *http.Response) []byte {
+		t.Helper()
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if tc.code == http.StatusBadRequest {
-			var e ErrorResponse
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-				t.Errorf("%s: error body not JSON: %v", name, err)
-			}
+		return data
+	}
+	want := read(post("application/json", body))
+
+	for _, ct := range []string{"application/x-zhuyi-rate", "text/plain", ""} {
+		resp := post(ct, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("Content-Type %q: status %d", ct, resp.StatusCode)
 		}
-		resp.Body.Close()
+		if got := resp.Header.Get("Content-Type"); got != "application/json" {
+			t.Errorf("Content-Type %q: answered %q", ct, got)
+		}
+		if got := read(resp); !bytes.Equal(got, want) {
+			t.Errorf("Content-Type %q: answer diverges from the JSON answer:\n%s\nwant:\n%s", ct, got, want)
+		}
+	}
+
+	for name, bad := range map[string][]byte{
+		"binary frame": append([]byte{4, 0, 0, 0}, "ZYR1"...),
+		"truncated":    body[:len(body)-3],
+		"empty":        nil,
+	} {
+		resp := post("application/x-zhuyi-rate", bad)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(read(resp), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: error body not JSON: %v", name, err)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func serveRateJSON(t *testing.T, body string) []byte {
 	s := New(Options{})
 	sc := getRateScratch()
 	defer putRateScratch(sc)
-	if code, msg := s.serveRate(sc, bytes.NewReader([]byte(body)), false); code != 0 {
+	if code, msg := s.serveRate(sc, bytes.NewReader([]byte(body))); code != 0 {
 		t.Fatalf("serveRate: %d %s", code, msg)
 	}
 	return append([]byte(nil), sc.out...)

@@ -391,17 +391,12 @@ func agentFromWire(a AgentState) world.Agent {
 func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sc := getRateScratch()
-	binary := isBinaryRate(r.Header.Get("Content-Type"))
 	s.gate.Enter()
-	code, msg := s.serveRate(sc, r.Body, binary)
+	code, msg := s.serveRate(sc, r.Body)
 	s.gate.Leave()
 	switch code {
 	case 0:
-		ct := "application/json"
-		if binary {
-			ct = RateBinaryContentType
-		}
-		w.Header().Set("Content-Type", ct)
+		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		w.Write(sc.out)
 	case rateStatusFallback:
@@ -415,12 +410,6 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 		s.rateHist.ObserveShard(time.Since(start), sc.shard)
 	}
 	putRateScratch(sc)
-}
-
-// isBinaryRate reports whether a Content-Type selects the binary rate
-// wire format.
-func isBinaryRate(ct string) bool {
-	return ct == RateBinaryContentType || strings.HasPrefix(ct, RateBinaryContentType+";")
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {

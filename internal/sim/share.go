@@ -5,46 +5,25 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/sensor"
-	"repro/internal/trace"
 	"repro/internal/vehicle"
 	"repro/internal/world"
 )
 
-// stepShare is the compute-once context of one simulation instant: the
-// ground-truth frame, the ego footprint, the collision/min-gap sweep
-// results, the updated camera cone table, the occlusion memo, and the
-// per-camera visibility index lists. Everything in it is a pure
-// function of the instant's kinematic state and the static scenario
-// geometry — not of any variant-specific state (perception noise,
-// planner decisions, camera schedules) — so under lockstep batching a
-// group of variants whose states are bitwise equal shares one
-// stepShare and pays for each derived quantity once.
-//
-// A solo Simulation owns a private stepShare and flows through exactly
-// the same code path; "shared" is just more readers per compute.
+// stepShare holds the per-instant scene a step derives from the
+// kinematic state and the static scenario geometry: the ground-truth
+// frame, the ego ground truth, the camera cone table, the occlusion
+// memo, and the per-camera visibility index lists. The cones and the
+// occlusion memo are read by every camera due at an instant, so they
+// are computed on first demand and reused for the rest of the step.
 type stepShare struct {
-	step int // step index the share is valid for; -1 before step 0
-
-	groundOK bool
 	frame    *world.Frame
-	egoAgent world.Agent // ego ground truth; Accel is overwritten per variant
-
-	collOK    bool
-	collided  bool
-	collActor string
-
-	gapOK      bool
-	stepMinGap float64 // min candidate bumper gap this instant (+Inf if none)
-
-	egoQuadOK bool
-	egoQuad   geom.Quad
+	egoAgent world.Agent // ego ground truth; Accel is overwritten per step
 
 	cones   *sensor.RigCones
 	conesOK bool // cones updated to this step's ego pose
 
-	occ   sensor.OcclusionCache
-	vis   [][]int // per camera: visible frame indices
-	visOK []bool
+	occ sensor.OcclusionCache
+	vis [][]int // per camera: visible frame indices, reused across steps
 
 	// Per-actor scatter memo: the Frenet state each frame column was
 	// last materialized from. The column values are a pure function of
@@ -60,11 +39,9 @@ type stepShare struct {
 
 func newStepShare(rig sensor.Rig, nActors int) *stepShare {
 	sh := &stepShare{
-		step:      -1,
 		frame:     world.NewFrame(nActors),
 		cones:     sensor.NewRigCones(rig),
 		vis:       make([][]int, len(rig)),
-		visOK:     make([]bool, len(rig)),
 		prevState: make([]vehicle.FrenetState, nActors),
 		prevOK:    make([]bool, nActors),
 	}
@@ -74,27 +51,14 @@ func newStepShare(rig sensor.Rig, nActors int) *stepShare {
 	return sh
 }
 
-// beginStep invalidates every memo for a new instant. The first
-// simulation of a lockstep group to reach the instant calls it; the
-// rest see a matching step index and reuse.
-func (sh *stepShare) beginStep(step, nActors int) {
-	sh.step = step
-	sh.groundOK = false
-	sh.collOK = false
-	sh.gapOK = false
-	sh.egoQuadOK = false
+// beginStep invalidates the per-instant memos for a new step.
+func (sh *stepShare) beginStep(nActors int) {
 	sh.conesOK = false
-	for i := range sh.visOK {
-		sh.visOK[i] = false
-	}
 	sh.occ.Reset(nActors)
 }
 
-// ensureGround materializes the shared ground truth from s's state.
-func (sh *stepShare) ensureGround(s *Simulation) {
-	if sh.groundOK {
-		return
-	}
+// ground materializes the ground truth from s's state.
+func (sh *stepShare) ground(s *Simulation) {
 	for i := range s.actors {
 		a := &s.actors[i]
 		if sh.prevOK[i] && sameStateBits(&sh.prevState[i], &a.state) {
@@ -105,7 +69,6 @@ func (sh *stepShare) ensureGround(s *Simulation) {
 		sh.prevOK[i] = true
 	}
 	s.egoState.FillAgent(&sh.egoAgent, s.cfg.Road, world.EgoID, s.cfg.EgoParams)
-	sh.groundOK = true
 }
 
 // sameStateBits compares two Frenet states bit for bit. Bitwise (not
@@ -119,27 +82,16 @@ func sameStateBits(a, b *vehicle.FrenetState) bool {
 		math.Float64bits(a.LatVel) == math.Float64bits(b.LatVel)
 }
 
-func (sh *stepShare) ensureEgoQuad() *geom.Quad {
-	if !sh.egoQuadOK {
-		sh.egoQuad = geom.MakeQuad(sh.egoAgent.BBox())
-		sh.egoQuadOK = true
-	}
-	return &sh.egoQuad
-}
-
-// ensureCollision runs the collision sweep once per instant: a
-// bounding-circle pre-filter (precomputed footprint half-diagonals
-// plus a rounding margin) skips the exact quad intersection for
-// actors that provably cannot touch the ego; the detected collisions
-// are exactly those of the plain OBB sweep.
-func (sh *stepShare) ensureCollision(egoDiag float64) {
-	if sh.collOK {
-		return
-	}
-	sh.collided = false
-	sh.collActor = ""
+// collision runs this instant's collision sweep and reports the first
+// actor the ego touches: a bounding-circle pre-filter (precomputed
+// footprint half-diagonals plus a rounding margin) skips the exact quad
+// intersection for actors that provably cannot touch the ego; the
+// detected collisions are exactly those of the plain OBB sweep.
+func (sh *stepShare) collision(egoDiag float64) (actorID string, hit bool) {
 	f := sh.frame
 	ex, ey := sh.egoAgent.Pose.Pos.X, sh.egoAgent.Pose.Pos.Y
+	var egoQuad geom.Quad
+	quadOK := false
 	for i := 0; i < f.Len(); i++ {
 		dx := f.X[i] - ex
 		dy := f.Y[i] - ey
@@ -147,20 +99,22 @@ func (sh *stepShare) ensureCollision(egoDiag float64) {
 		if dx*dx+dy*dy > reach*reach {
 			continue
 		}
-		if sh.ensureEgoQuad().Intersects(f.Quad(i)) {
-			sh.collided = true
-			sh.collActor = f.IDs[i]
-			break
+		if !quadOK {
+			egoQuad = geom.MakeQuad(sh.egoAgent.BBox())
+			quadOK = true
+		}
+		if egoQuad.Intersects(f.Quad(i)) {
+			return f.IDs[i], true
 		}
 	}
-	sh.collOK = true
+	return "", false
 }
 
-// ensureMinGap computes this instant's closest-approach candidate: the
-// minimum bumper gap over the actors within the ego's lateral
-// corridor, exactly as the per-variant running-minimum update used to
-// accumulate it (min is associative, so folding the per-instant
-// minimum into the running minimum is bit-identical).
+// minGap computes this instant's closest-approach candidate: the
+// minimum bumper gap over the actors within the ego's lateral corridor
+// (+Inf if none). min is associative, so folding the per-instant
+// minimum into the run's running minimum is bit-identical to a
+// running-minimum update per actor.
 //
 // The road projection is skipped for actors whose own lane-relative
 // state puts them far outside the corridor: each actor was posed at
@@ -172,10 +126,7 @@ func (sh *stepShare) ensureCollision(egoDiag float64) {
 // change which actors pass it; actors beyond the road ends (where a
 // composite's nearest piece can reassign d) always take the exact
 // projection.
-func (sh *stepShare) ensureMinGap(s *Simulation) {
-	if sh.gapOK {
-		return
-	}
+func (sh *stepShare) minGap(s *Simulation) float64 {
 	rd := s.cfg.Road
 	egoS, egoD := s.egoState.S, s.egoState.D
 	egoLength := s.egoAgent.Length
@@ -196,12 +147,11 @@ func (sh *stepShare) ensureMinGap(s *Simulation) {
 			minGap = gap
 		}
 	}
-	sh.stepMinGap = minGap
-	sh.gapOK = true
+	return minGap
 }
 
 // ensureCones updates the cone table to this instant's ego pose (one
-// shared SinCos for the whole rig and every variant).
+// shared SinCos for the whole rig) on the first camera due this step.
 func (sh *stepShare) ensureCones() *sensor.RigCones {
 	if !sh.conesOK {
 		sh.cones.Update(sh.egoAgent.Pose)
@@ -210,24 +160,11 @@ func (sh *stepShare) ensureCones() *sensor.RigCones {
 	return sh.cones
 }
 
-// visibleIdx returns the frame indices camera ci sees this instant,
-// computing them on first demand. Variants at different operating
-// rates process frames at different instants, so each camera's list
-// materializes only when some variant's schedule makes it due.
+// visibleIdx returns the frame indices camera ci sees this instant.
+// Cameras process frames at their own rates, so a list is computed only
+// for a camera due this step.
 func (sh *stepShare) visibleIdx(ci int) []int {
-	if !sh.visOK[ci] {
-		rc := sh.ensureCones()
-		sh.vis[ci] = rc.AppendVisibleIdx(sh.vis[ci][:0], ci, sh.frame, &sh.occ)
-		sh.visOK[ci] = true
-	}
+	rc := sh.ensureCones()
+	sh.vis[ci] = rc.AppendVisibleIdx(sh.vis[ci][:0], ci, sh.frame, &sh.occ)
 	return sh.vis[ci]
-}
-
-// collision materializes the shared sweep result as a trace record for
-// one variant.
-func (sh *stepShare) collision(t float64) *trace.Collision {
-	if !sh.collided {
-		return nil
-	}
-	return &trace.Collision{Time: t, ActorID: sh.collActor}
 }

@@ -60,9 +60,7 @@ func StageNames() []string {
 //
 // The ground-truth scene and everything derived from it alone (the
 // collision sweep, the min-gap candidate, camera cones, occlusion,
-// per-camera visibility) live in a stepShare: a solo run owns a
-// private one; a lockstep Batch points every state-identical variant
-// at the leader's, so the group pays for the shared work once.
+// per-camera visibility) live in the simulation's stepShare.
 //
 // A Simulation is single-goroutine; the engine provides concurrency
 // across runs, not within one.
@@ -96,11 +94,8 @@ type Simulation struct {
 	done           bool
 	nextRateUpdate float64
 
-	// own is this simulation's private step context; sh is the one in
-	// use — own when running solo or leading a lockstep group, the
-	// leader's while following one.
-	own *stepShare
-	sh  *stepShare
+	// sh is the per-instant scene derived from the kinematic state.
+	sh *stepShare
 
 	// Per-step working state, valid between stages of the current step.
 	t          float64
@@ -153,8 +148,7 @@ func New(cfg Config) (*Simulation, error) {
 	for ci := range cfg.Rig {
 		s.rateVals[ci] = cfg.FPR
 	}
-	s.own = newStepShare(cfg.Rig, len(cfg.Actors))
-	s.sh = s.own
+	s.sh = newStepShare(cfg.Rig, len(cfg.Actors))
 
 	if cfg.Record != trace.LevelOff {
 		s.tr = &trace.Trace{Meta: trace.Meta{
@@ -267,15 +261,12 @@ func (s *Simulation) ratesMap() map[string]float64 {
 }
 
 // stageGroundTruth materializes the ground-truth scene for this
-// instant — through the step share, so lockstep variants scatter the
-// agents once — and derives the ego agent carrying the previously
-// applied acceleration.
+// instant and derives the ego agent carrying the previously applied
+// acceleration.
 func (s *Simulation) stageGroundTruth() {
 	sh := s.sh
-	if sh.step != s.step {
-		sh.beginStep(s.step, len(s.actors))
-	}
-	sh.ensureGround(s)
+	sh.beginStep(len(s.actors))
+	sh.ground(s)
 	s.egoAgent = sh.egoAgent
 	s.egoAgent.Accel = s.appliedAccel
 
@@ -293,29 +284,25 @@ func (s *Simulation) stageGroundTruth() {
 
 // stageCollision detects the first ego collision, ends the run if
 // configured to stop on it, and maintains the closest-approach
-// bookkeeping. The sweeps run once per instant in the step share.
+// bookkeeping.
 func (s *Simulation) stageCollision() {
 	sh := s.sh
 	if s.res.Collision == nil {
-		sh.ensureCollision(s.egoDiag)
-		if sh.collided {
-			s.res.Collision = sh.collision(s.t)
+		if id, hit := sh.collision(s.egoDiag); hit {
+			s.res.Collision = &trace.Collision{Time: s.t, ActorID: id}
 		}
 	}
 	if s.res.Collision != nil && s.cfg.StopOnCollision {
 		s.done = true
 		return
 	}
-	sh.ensureMinGap(s)
-	if sh.stepMinGap < s.res.MinBumperGap {
-		s.res.MinBumperGap = sh.stepMinGap
+	if gap := sh.minGap(s); gap < s.res.MinBumperGap {
+		s.res.MinBumperGap = gap
 	}
 }
 
 // stageCameras processes every camera frame due at this instant and
-// advances each camera's schedule by its current operating rate. The
-// visible-actor index list comes from the step share: cameras due at
-// the same instant for several lockstep variants compute it once.
+// advances each camera's schedule by its current operating rate.
 func (s *Simulation) stageCameras() {
 	sh := s.sh
 	for ci := range s.cfg.Rig {

@@ -4,7 +4,7 @@
 #
 #   - server-side rate p99 <= SERVE_P99_GATE_US (default 50 ms): the
 #     handler-measured histogram from GET /v1/stats, accumulated over
-#     both wire-mode windows at an offered LOAD_QPS (default 200 req/s)
+#     the load window at an offered LOAD_QPS (default 200 req/s)
 #     while a background campaign streams the whole time. This is the
 #     serving path's own latency — decode, compute, encode under the
 #     admission gate — and sits near 1 ms even on a 1-core host with
@@ -17,7 +17,7 @@
 #     behind campaign compute for seconds, which is exactly what the
 #     admission gate prevents;
 #   - allocations per request on the serveRate hot path (measured by
-#     benchmark, below net/http): <= 5 for JSON, exactly 0 for binary.
+#     benchmark, below net/http): <= 5.
 #
 # The driver (cmd/loadtest) exits non-zero if ANY rate request fails,
 # so "zero dropped under campaign pressure" is gated implicitly. The
@@ -54,14 +54,12 @@ for _ in $(seq 1 100); do
 done
 curl -sf "http://$addr/healthz" >/dev/null
 
-json_report=$("$bindir/loadtest" -addr "http://$addr" -mode json \
-  -duration "$duration" -concurrency "$concurrency" -qps "$qps" -campaign "$campaign")
-binary_report=$("$bindir/loadtest" -addr "http://$addr" -mode binary \
+json_report=$("$bindir/loadtest" -addr "http://$addr" \
   -duration "$duration" -concurrency "$concurrency" -qps "$qps" -campaign "$campaign")
 
-# The server's own per-endpoint histogram (this PR's /v1/stats latency
-# block), accumulated across both windows: handler-measured time of
-# the pooled rate path under the admission gate.
+# The server's own per-endpoint histogram (the /v1/stats latency
+# block): handler-measured time of the pooled rate path under the
+# admission gate.
 server_stats=$(curl -s "http://$addr/v1/stats")
 srv_field() {
   echo "$server_stats" | awk -v key="\"$1\":" \
@@ -82,13 +80,12 @@ trap - EXIT
 
 # Allocations per request, measured below net/http at the serveRate
 # boundary (the same numbers TestRateServeAllocBudget gates).
-raw=$(go test -run '^$' -bench 'BenchmarkRateServe(JSON|Binary)$' \
+raw=$(go test -run '^$' -bench 'BenchmarkRateServeJSON$' \
   -benchtime 2000x -benchmem ./internal/server)
 echo "$raw"
 cpu=$(echo "$raw" | awk -F': ' '/^cpu:/ {print $2}')
 allocs_json=$(echo "$raw" | awk '/^BenchmarkRateServeJSON/ {print $(NF-1)}')
-allocs_binary=$(echo "$raw" | awk '/^BenchmarkRateServeBinary/ {print $(NF-1)}')
-[ -n "$allocs_json" ] && [ -n "$allocs_binary" ] || {
+[ -n "$allocs_json" ] || {
   echo "loadtest: missing alloc counts in bench output" >&2; exit 1; }
 
 cat > "$out" <<JSON
@@ -97,7 +94,6 @@ cat > "$out" <<JSON
   "cpu": "$cpu",
   "workload": "open-loop POST /v1/rate at the offered rate against a live zhuyi serve while a fresh-seeded campaign streams continuously; latency is the client-observed HTTP round trip (see cmd/loadtest)",
   "json": $json_report,
-  "binary": $binary_report,
   "rate_endpoint_server_side": {
     "count": $srv_count,
     "mean_us": $srv_mean,
@@ -107,12 +103,12 @@ cat > "$out" <<JSON
     "admission_yields": $yields,
     "admission_waited_ms": $waited_ms
   },
-  "allocs_per_request": { "json": $allocs_json, "binary": $allocs_binary },
-  "gates": { "server_p99_us_max": $serve_p99_gate_us, "client_p99_us_max": $p99_gate_us, "allocs_json_max": 5, "allocs_binary_max": 0 },
+  "allocs_per_request": { "json": $allocs_json },
+  "gates": { "server_p99_us_max": $serve_p99_gate_us, "client_p99_us_max": $p99_gate_us, "allocs_json_max": 5 },
   "notes": [
-    "rate_endpoint_server_side is the handler-measured histogram from GET /v1/stats (both wire-mode windows combined): the pooled decode-compute-encode path under the admission gate. This is the number the primary p99 gate holds.",
-    "The client-observed json/binary latencies include OS and runtime scheduling between the saturated server process and the driver process; on a 1-core host that dominates (tens of ms) even though the handler itself answers in under a millisecond. The client gate is a loose starvation backstop.",
-    "allocs_per_request is measured below net/http at the serveRate boundary (BenchmarkRateServeJSON/Binary with -benchmem): the pooled decoder, compute chain, and encoder together; net/http's own per-request allocations are not the PR's to fix.",
+    "rate_endpoint_server_side is the handler-measured histogram from GET /v1/stats over the load window: the pooled decode-compute-encode path under the admission gate. This is the number the primary p99 gate holds.",
+    "The client-observed json latencies include OS and runtime scheduling between the saturated server process and the driver process; on a 1-core host that dominates (tens of ms) even though the handler itself answers in under a millisecond. The client gate is a loose starvation backstop.",
+    "allocs_per_request is measured below net/http at the serveRate boundary (BenchmarkRateServeJSON with -benchmem): the pooled decoder, compute chain, and encoder together; net/http's own per-request allocations are not the PR's to fix.",
     "The driver fails hard if any rate request errors, so campaign pressure costing correctness (dropped or starved requests) cannot pass CI."
   ]
 }
@@ -121,22 +117,17 @@ echo "loadtest: wrote $out"
 
 p99() { echo "$1" | awk -F'[:,]' '/"p99"/ {gsub(/[ ]/,"",$2); print $2; exit}'; }
 p99_json=$(p99 "$json_report")
-p99_binary=$(p99 "$binary_report")
 
 awk -v s="$srv_p99" -v gate="$serve_p99_gate_us" 'BEGIN {
   printf "loadtest: server-side rate p99 = %.0fus (gate: <= %dus)\n", s, gate
   exit (s <= gate) ? 0 : 1
 }' || { echo "loadtest: server-side p99 gate FAILED" >&2; exit 1; }
-awk -v j="$p99_json" -v b="$p99_binary" -v gate="$p99_gate_us" 'BEGIN {
-  printf "loadtest: client p99 json = %.0fus, binary = %.0fus (backstop: <= %dus)\n", j, b, gate
-  exit (j <= gate && b <= gate) ? 0 : 1
+awk -v j="$p99_json" -v gate="$p99_gate_us" 'BEGIN {
+  printf "loadtest: client p99 json = %.0fus (backstop: <= %dus)\n", j, gate
+  exit (j <= gate) ? 0 : 1
 }' || { echo "loadtest: client p99 backstop FAILED" >&2; exit 1; }
 awk -v a="$allocs_json" 'BEGIN {
   printf "loadtest: json allocs/request = %d (gate: <= 5)\n", a
   exit (a <= 5) ? 0 : 1
 }' || { echo "loadtest: JSON alloc gate FAILED" >&2; exit 1; }
-awk -v a="$allocs_binary" 'BEGIN {
-  printf "loadtest: binary allocs/request = %d (gate: == 0)\n", a
-  exit (a == 0) ? 0 : 1
-}' || { echo "loadtest: binary alloc gate FAILED" >&2; exit 1; }
 echo "loadtest: ok"

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Capture CPU and heap profiles of the closed-loop campaign hot path
-# through the real CLI (worker pool, engine scheduling, lockstep
-# batching — not just the Go benchmarks). Writes the binary next to
-# the profiles so `go tool pprof` can symbolize without guessing.
+# through the real CLI (worker pool, engine scheduling — not just the
+# Go benchmarks). Writes the binary next to the profiles so `go tool
+# pprof` can symbolize without guessing.
 #
 # Usage: scripts/profile_sim.sh [outdir]           (default /tmp/zhuyi-prof)
 #   PROFILE_ARGS="-tags table1 -fprs 10,30 -seeds 2" scripts/profile_sim.sh

@@ -1,6 +1,8 @@
 // Command zhuyi runs the Zhuyi model from the command line:
 //
+//	zhuyi sim -scenario cut-out -o t.jsonl   one closed-loop run, its trace written as JSONL
 //	zhuyi estimate -trace trace.jsonl        offline per-camera FPR series from a recorded trace
+//	zhuyi render -trace t.jsonl -every 1.5   a recorded trace as ego-relative ASCII top views
 //	zhuyi sweep -sn 30                       Figure-8 velocity sensitivity grid
 //	zhuyi demand -actors 2 -trajectories 1   the model's own compute demand (§4.2)
 //	zhuyi mrf -scenario cut-out -seeds 10    minimum required FPR search
@@ -53,8 +55,12 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
+	case "sim":
+		err = cmdSim(os.Args[2:])
 	case "estimate":
 		err = cmdEstimate(os.Args[2:])
+	case "render":
+		err = cmdRender(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
 	case "demand":
@@ -88,12 +94,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: zhuyi <estimate|sweep|demand|mrf|rate|scenarios|record|replay|diff|store|campaign|serve> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: zhuyi <sim|estimate|render|sweep|demand|mrf|rate|scenarios|record|replay|diff|store|campaign|serve> [flags]")
 }
 
 func cmdEstimate(args []string) error {
 	fs := flag.NewFlagSet("estimate", flag.ExitOnError)
-	path := fs.String("trace", "", "JSONL trace recorded by simrun")
+	path := fs.String("trace", "", "JSONL trace recorded by 'zhuyi sim'")
 	every := fs.Float64("every", 0.1, "evaluation period, s")
 	fs.Parse(args)
 	if *path == "" {

@@ -5,6 +5,7 @@ package main
 // seeds, budgets) must be rejected with an error, not exit 0.
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,4 +50,21 @@ func TestCampaignRejectsZeroSeeds(t *testing.T) {
 	wantErr(t, "campaign -seeds 0", cmdCampaign([]string{"-seeds", "0"}), "-seeds must be positive")
 	wantErr(t, "record -seeds 0",
 		cmdRecord([]string{"-store", t.TempDir(), "-seeds", "0"}), "-seeds must be positive")
+}
+
+// TestSimTraceFeedsEstimate: the trace 'zhuyi sim' writes is the input
+// 'zhuyi estimate' and 'zhuyi render' read.
+func TestSimTraceFeedsEstimate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	if err := cmdSim([]string{"-scenario", "cut-out-fast", "-fpr", "30", "-seed", "1", "-o", path}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdEstimate([]string{"-trace", path, "-every", "0.5"}); err != nil {
+		t.Fatalf("estimate on the sim trace: %v", err)
+	}
+	if err := cmdRender([]string{"-trace", path, "-every", "2"}); err != nil {
+		t.Fatalf("render on the sim trace: %v", err)
+	}
+	wantErr(t, "sim unknown scenario", cmdSim([]string{"-scenario", "no-such-scenario"}), "unknown scenario")
+	wantErr(t, "render without -trace", cmdRender(nil), "-trace is required")
 }

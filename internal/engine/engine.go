@@ -228,10 +228,6 @@ type Stats struct {
 	// also counts as a DiskHit). The fabric coordinator's warm tier runs
 	// entirely on these.
 	ManifestHits int64
-	// ArchivePending gauges the async archiver's backlog: fresh results
-	// handed to the background store writer but not yet on disk. Zero
-	// after any Drain/RunBatch return.
-	ArchivePending int64
 	// LockstepRuns is always zero. Lockstep batching was removed; the
 	// field stays so readers of earlier stats (the benchmark's
 	// engine.lockstep_runs layer) keep compiling and report 0.
@@ -275,11 +271,6 @@ type Engine struct {
 	// hundreds of traces at once.
 	diskSem chan struct{}
 
-	// arch is the bounded async archiver (nil without a store): fresh
-	// results are enqueued before waiters unblock and written to the
-	// store off the waiter path. RunBatch and Drain flush it.
-	arch *archiver
-
 	executed     atomic.Int64
 	cacheHits    atomic.Int64
 	diskHits     atomic.Int64
@@ -294,16 +285,6 @@ func New(opts Options) *Engine {
 	e := &Engine{opts: opts.withDefaults(), cache: make(map[Key]*entry)}
 	e.cond = sync.NewCond(&e.mu)
 	e.diskSem = make(chan struct{}, e.opts.Workers)
-	if e.opts.Store != nil {
-		// Bound the backlog at a few results per worker: deep enough that
-		// bursts of fast summary runs never stall on fsync, small enough
-		// that full traces queued for archiving stay a bounded memory cost.
-		bound := 4 * e.opts.Workers
-		if bound < 16 {
-			bound = 16
-		}
-		e.arch = newArchiver(e, bound)
-	}
 	return e
 }
 
@@ -339,8 +320,6 @@ func (e *Engine) Stats() Stats {
 		Failures:     e.failures.Load(),
 		StoreErrors:  e.storeErrs.Load(),
 		ManifestHits: e.manifestHits.Load(),
-
-		ArchivePending: e.archivePending(),
 	}
 }
 
@@ -392,54 +371,15 @@ func (e *Engine) enqueue(t *task) {
 
 // Close winds the pool down: queued and in-flight jobs complete, then
 // the workers exit. Jobs submitted afterwards fail with ErrClosed.
-// The async archiver is flushed before Close returns — every result it
-// held is on disk — and results archived by still-running workers
-// afterwards are written synchronously. Cached results remain readable
-// only through jobs already joined; use Close for short-lived engines
-// (benchmarks, one-shot campaigns) so their workers don't outlive
-// them. The shared Default engine is never closed.
+// Cached results remain readable only through jobs already joined; use
+// Close for short-lived engines (benchmarks, one-shot campaigns) so
+// their workers don't outlive them. The shared Default engine is never
+// closed.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
 	e.cond.Broadcast()
-	if e.arch != nil {
-		e.arch.close()
-	}
-}
-
-// Drain blocks until the async archiver's backlog is on disk. Callers
-// that use single Run submissions and then read the store directly —
-// or a serving process shutting down on SIGTERM — drain first; RunBatch
-// campaigns drain implicitly before returning.
-func (e *Engine) Drain() {
-	if e.arch != nil {
-		e.arch.drain()
-	}
-}
-
-// archivePending reports the async archiver's backlog gauge.
-func (e *Engine) archivePending() int64 {
-	if e.arch == nil {
-		return 0
-	}
-	return e.arch.pending()
-}
-
-// enqueueArchive routes a fresh result to the async archiver — before
-// the task finishes, so a later Drain is guaranteed to cover it — or
-// archives synchronously when no archiver exists (no store) or it has
-// been closed. Non-persistable results are dropped here without
-// touching the queue.
-func (e *Engine) enqueueArchive(j Job, res *sim.Result) {
-	if e.opts.Store == nil || !j.persistable() || res == nil {
-		return
-	}
-	if e.arch == nil {
-		e.archive(j, res)
-		return
-	}
-	e.arch.enqueue(j, res)
 }
 
 func (e *Engine) execute(t *task) {
@@ -453,12 +393,11 @@ func (e *Engine) execute(t *task) {
 	}
 	e.executed.Add(1)
 	if err == nil {
-		// Record hook: hand the fresh run to the async archiver before
-		// waiters unblock. Enqueueing (not writing) happens first, so a
-		// campaign that has returned — RunBatch drains the archiver —
-		// still finds every one of its runs on disk, while the waiters
-		// themselves no longer pay for serialization and fsync.
-		e.enqueueArchive(t.job, res)
+		// Record hook: the worker that ran the job archives it before
+		// waiters unblock, so a Run or RunBatch that has returned always
+		// finds its fresh runs on disk, and the pool archives in
+		// parallel. A joiner of a fresh point waits for the write too.
+		e.archive(t.job, res)
 	}
 	e.finish(t, res, err)
 }
@@ -723,10 +662,6 @@ func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, fn func(i int, o 
 		}()
 	}
 	wg.Wait()
-	// Flush the async archiver: every fresh run was enqueued before its
-	// task finished, so after this a returned campaign's runs are all on
-	// disk — same contract as when archiving was synchronous.
-	e.Drain()
 
 	br := &BatchResult{Outcomes: outcomes}
 	br.Stats.Jobs = len(jobs)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -128,7 +129,6 @@ func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Drain() // single Run archives asynchronously; flush before reading stats
 	if s := a.Stats(); s.Executed != 1 || s.Archived != 1 || s.StoreErrors != 0 {
 		t.Fatalf("fresh engine stats = %+v", s)
 	}
@@ -163,7 +163,6 @@ func TestPersistentTierSkipsNonPersistableJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Drain()
 	if st.Len() != 1 {
 		t.Fatalf("store holds %d entries, want only the plain run", st.Len())
 	}
@@ -221,5 +220,47 @@ func TestPersistentTierConcurrentEngines(t *testing.T) {
 				t.Fatalf("engine %d outcome %d differs", i, k)
 			}
 		}
+	}
+}
+
+// TestPersistentTierHealsTornObject truncates one archived object: a
+// fresh engine re-simulates that point exactly once, counting one store
+// error, and its archive rewrites the object, so the next fresh engine
+// gets a clean disk hit.
+func TestPersistentTierHealsTornObject(t *testing.T) {
+	st := openStore(t)
+	job := Job{Scenario: fakeScenario("torn"), FPR: 5, Seed: 1}
+	if _, err := New(Options{Workers: 1, Runner: (&tracedRunner{}).run, Store: st}).Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	ent, ok := st.Lookup(store.KeyForScenario(job.Scenario, job.FPR, job.Seed))
+	if !ok {
+		t.Fatal("point not archived")
+	}
+	path := st.ObjectPath(ent.Artifact)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	fr := &tracedRunner{}
+	healer := New(Options{Workers: 1, Runner: fr.run, Store: st})
+	if _, err := healer.Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	if s := healer.Stats(); fr.calls.Load() != 1 || s.Executed != 1 || s.StoreErrors != 1 || s.DiskHits != 0 {
+		t.Fatalf("healing engine: %d runner calls, stats %+v; want 1 execution and 1 store error", fr.calls.Load(), s)
+	}
+
+	fr = &tracedRunner{}
+	healed := New(Options{Workers: 1, Runner: fr.run, Store: st})
+	if _, err := healed.Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	if s := healed.Stats(); fr.calls.Load() != 0 || s.DiskHits != 1 || s.StoreErrors != 0 {
+		t.Fatalf("engine after heal: %d runner calls, stats %+v; want a clean disk hit", fr.calls.Load(), s)
 	}
 }

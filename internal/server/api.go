@@ -199,10 +199,6 @@ type EngineStats struct {
 	// summary alone (no artifact decode, no simulation) — the fabric
 	// coordinator's warm tier.
 	ManifestHits int64 `json:"manifest_hits"`
-	// ArchivePending is the depth of the asynchronous archive queue:
-	// fresh results handed back to their waiters whose store write has
-	// not yet landed on disk.
-	ArchivePending int64 `json:"archive_pending"`
 }
 
 // ReplicaStats are one fabric replica's coordinator-side counters.
@@ -377,14 +373,13 @@ func outcomeToPointResult(i int, o engine.Outcome) PointResult {
 // drift from a worker's.
 func EngineStatsToWire(s engine.Stats) EngineStats {
 	return EngineStats{
-		Executed:       s.Executed,
-		CacheHits:      s.CacheHits,
-		DiskHits:       s.DiskHits,
-		Archived:       s.Archived,
-		Failures:       s.Failures,
-		StoreErrors:    s.StoreErrors,
-		ManifestHits:   s.ManifestHits,
-		ArchivePending: s.ArchivePending,
+		Executed:     s.Executed,
+		CacheHits:    s.CacheHits,
+		DiskHits:     s.DiskHits,
+		Archived:     s.Archived,
+		Failures:     s.Failures,
+		StoreErrors:  s.StoreErrors,
+		ManifestHits: s.ManifestHits,
 	}
 }
 

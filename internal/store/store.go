@@ -436,11 +436,14 @@ func (s *Store) Entries() []Entry {
 // whether anything was written. Put is idempotent: a key already
 // present returns its existing entry untouched (created == false),
 // and identical traces under different keys share one
-// content-addressed object. If the key exists but its object file has
-// vanished (partial cleanup, a crashed recorder's debris removal),
-// Put self-heals by rewriting the object — runs are deterministic, so
-// the fresh result must reproduce the recorded artifact hash; a
-// mismatch is reported instead of silently masking semantics drift.
+// content-addressed object. If the key exists but its object is
+// missing or fails to decode (partial cleanup, a crash that left a
+// truncated or empty file), Put self-heals by rewriting the object —
+// runs are deterministic, so the fresh result must reproduce the
+// recorded artifact hash; a mismatch is reported instead of silently
+// masking semantics drift. Only a miss or a failed Get leads a caller
+// to Put an existing key, so the decode check costs normal runs
+// nothing.
 func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, error) {
 	if res == nil || res.Trace == nil {
 		return Entry{}, false, fmt.Errorf("store: put %s: nil result or trace", scenarioName)
@@ -467,7 +470,7 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 	closed := s.manifest == nil
 	s.mu.Unlock()
 	if exists {
-		if _, _, err := s.locateObject(existing.Artifact); err == nil {
+		if _, err := s.Trace(existing); err == nil {
 			return existing, false, nil
 		}
 		_, hash, err := serializeTrace(scenarioName, res)
@@ -476,7 +479,7 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 		}
 		if hash != existing.Artifact {
 			return existing, false, fmt.Errorf(
-				"store: put %s: artifact %s is missing and the fresh run hashes to %s — simulator semantics drifted without a sim.Version bump?",
+				"store: put %s: artifact %s is unreadable and the fresh run hashes to %s — simulator semantics drifted without a sim.Version bump?",
 				scenarioName, existing.Artifact, hash)
 		}
 		if err := s.writeObject(hash, res.Trace); err != nil {
@@ -492,8 +495,12 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 	if err != nil {
 		return Entry{}, false, err
 	}
-	if err := s.writeObject(hash, res.Trace); err != nil {
-		return Entry{}, false, err
+	// An object already present in either format is reused: identical
+	// traces under different keys share it.
+	if _, _, err := s.locateObject(hash); err != nil {
+		if err := s.writeObject(hash, res.Trace); err != nil {
+			return Entry{}, false, err
+		}
 	}
 
 	e := Entry{
@@ -549,16 +556,14 @@ func serializeTrace(scenarioName string, res *sim.Result) ([]byte, string, error
 	return buf.Bytes(), hex.EncodeToString(sum[:]), nil
 }
 
-// writeObject stores the trace artifact atomically (write to a temp
-// file, rename into place) in the current binary format; an object
-// already present in either format is reused. The .zyt payload is the
-// raw ZYT1 stream, uncompressed: the format's column deltas already
-// shrink the hot fields, and skipping gzip is where the disk tier's
-// decode speed comes from.
+// writeObject stores the trace artifact durably and atomically (write
+// and fsync a temp file, rename it into place) in the current binary
+// format, replacing whatever file holds the path. A .zyt object
+// shadows a legacy one with the same hash, so this also heals a torn
+// legacy object. The .zyt payload is the raw ZYT1 stream, uncompressed:
+// the format's column deltas already shrink the hot fields, and
+// skipping gzip is where the disk tier's decode speed comes from.
 func (s *Store) writeObject(hash string, tr *trace.Trace) error {
-	if _, _, err := s.locateObject(hash); err == nil {
-		return nil
-	}
 	path := s.ObjectPath(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -569,6 +574,9 @@ func (s *Store) writeObject(hash string, tr *trace.Trace) error {
 	}
 	defer os.Remove(tmp.Name())
 	err = tr.WriteZYT(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

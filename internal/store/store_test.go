@@ -224,40 +224,74 @@ func TestTornManifestTailTolerated(t *testing.T) {
 	}
 }
 
+// TestMissingArtifactErrorsAndSelfHeals: a missing, truncated or empty
+// object makes Get fail, and re-archiving the deterministic result
+// rewrites it.
 func TestMissingArtifactErrorsAndSelfHeals(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	truncate := func(path string) error {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		return os.Truncate(path, fi.Size()/2)
 	}
-	defer st.Close()
-	res := syntheticResult("gone", 10, 1, 20, false)
-	e, _, err := st.Put("gone", key("gone", 10, 1), res)
-	if err != nil {
-		t.Fatal(err)
+	damages := []struct {
+		name   string
+		damage func(st *Store, hash string) error
+	}{
+		{"missing", func(st *Store, hash string) error { return os.Remove(st.ObjectPath(hash)) }},
+		{"truncated", func(st *Store, hash string) error { return truncate(st.ObjectPath(hash)) }},
+		{"zero-length", func(st *Store, hash string) error { return os.Truncate(st.ObjectPath(hash), 0) }},
+		{"truncated-legacy", func(st *Store, hash string) error {
+			if _, err := st.Migrate(FormatJSONL); err != nil {
+				return err
+			}
+			return truncate(st.LegacyObjectPath(hash))
+		}},
 	}
-	os.Remove(st.ObjectPath(e.Artifact))
-	if _, ok, err := st.Get(key("gone", 10, 1)); err == nil || ok {
-		t.Errorf("missing artifact: ok=%v err=%v, want error", ok, err)
-	}
+	for _, d := range damages {
+		t.Run(d.name, func(t *testing.T) {
+			st, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			k := key("gone", 10, 1)
+			res := syntheticResult("gone", 10, 1, 20, false)
+			e, _, err := st.Put("gone", k, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.damage(st, e.Artifact); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := st.Get(k); err == nil || ok {
+				t.Errorf("damaged artifact: ok=%v err=%v, want error", ok, err)
+			}
 
-	// Re-archiving the identical (deterministic) result repairs the
-	// object; a result that hashes differently must be rejected, not
-	// silently substituted under the recorded hash.
-	if _, _, err := st.Put("gone", key("gone", 10, 1), syntheticResult("gone", 10, 1, 19, false)); err == nil {
-		t.Error("divergent re-put under a missing artifact: want error")
-	}
-	healed, created, err := st.Put("gone", key("gone", 10, 1), res)
-	if err != nil || !created {
-		t.Fatalf("self-heal put: created=%v err=%v", created, err)
-	}
-	if healed.Artifact != e.Artifact {
-		t.Errorf("healed artifact %s != original %s", healed.Artifact, e.Artifact)
-	}
-	if got, ok, err := st.Get(key("gone", 10, 1)); err != nil || !ok {
-		t.Fatalf("get after heal: ok=%v err=%v", ok, err)
-	} else if !reflect.DeepEqual(got, res) {
-		t.Error("healed result differs")
+			// Re-archiving the identical (deterministic) result repairs the
+			// object; a result that hashes differently must be rejected, not
+			// silently substituted under the recorded hash.
+			if _, _, err := st.Put("gone", k, syntheticResult("gone", 10, 1, 19, false)); err == nil {
+				t.Error("divergent re-put under a damaged artifact: want error")
+			}
+			healed, created, err := st.Put("gone", k, res)
+			if err != nil || !created {
+				t.Fatalf("self-heal put: created=%v err=%v", created, err)
+			}
+			if healed.Artifact != e.Artifact {
+				t.Errorf("healed artifact %s != original %s", healed.Artifact, e.Artifact)
+			}
+			if got, ok, err := st.Get(k); err != nil || !ok {
+				t.Fatalf("get after heal: ok=%v err=%v", ok, err)
+			} else if !reflect.DeepEqual(got, res) {
+				t.Error("healed result differs")
+			}
+			// A healed object is intact: another Put is a no-op.
+			if _, created, err := st.Put("gone", k, res); err != nil || created {
+				t.Errorf("put after heal: created=%v err=%v, want a no-op", created, err)
+			}
+		})
 	}
 }
 
